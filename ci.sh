@@ -10,6 +10,12 @@ cargo build --release
 echo "==> tier-1: test suite"
 cargo test -q
 
+echo "==> benchmark: builds against the crates and passes its self-tests"
+# perfbench/ is a separate cargo workspace that depends on the crates by
+# path; nothing else compiles it, so an API change in a crate it calls
+# would otherwise break the benchmark unnoticed.
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> format: first-party crates must be rustfmt-clean (vendor/ excluded)"
 cargo fmt --check \
   -p shift-peel -p sp-ir -p sp-dep -p shift-peel-core -p sp-cache \

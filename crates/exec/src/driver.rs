@@ -158,19 +158,17 @@ pub unsafe fn run_peeled_phase<S: AccessSink>(
     counters: &mut ExecCounters,
 ) {
     let deriv = &group.derivation;
-    // Peel regions are narrow boundary strips; the SIMD engine hands
-    // them to the interpreter (`Engine::boundary`) — lane-blocking has
-    // nothing to win there, and every backend is observationally
-    // identical, so the swap cannot change results or access streams.
-    let engine = engine.boundary();
     for (k, nid) in group.members().enumerate() {
         let regions = nest_regions(&seq.nests[nid], deriv, k, block);
         for r in &regions.peeled {
-            let before = counters.iters;
+            // Peeled iterations are counted apart from `iters`, and
+            // `vec_iters` stays a subset of `iters`.
+            let (iters, vec_iters) = (counters.iters, counters.vec_iters);
             // SAFETY: forwarded from caller.
             unsafe { engine.exec_region(seq, view, nid, r, sink, counters) };
-            counters.peeled_iters += counters.iters - before;
-            counters.iters = before;
+            counters.peeled_iters += counters.iters - iters;
+            counters.iters = iters;
+            counters.vec_iters = vec_iters;
         }
     }
 }

@@ -53,8 +53,9 @@ pub enum Backend {
     Compiled,
     /// Run the micro-op tapes with the unit-stride interior lane-blocked
     /// [`LANES`](crate::tape::LANES) iterations at a time (portable
-    /// `[f64; LANES]` arrays the compiler autovectorizes); scalar
-    /// head/tail iterations and peel regions reuse the scalar paths.
+    /// `[f64; LANES]` arrays the compiler autovectorizes), in fused and
+    /// peeled regions alike; scalar head/tail iterations and lane-unsafe
+    /// nests reuse the scalar tape runner.
     /// Bit-for-bit identical results and access streams to
     /// [`Backend::Interp`] — per-lane ops round exactly like their
     /// scalar counterparts.
@@ -1335,6 +1336,54 @@ mod tests {
         // Work counters still compare equal across backends (vec_iters
         // is dispatch accounting, excluded from equality).
         assert_eq!(report.merged_counters(), r2.merged_counters());
+    }
+
+    /// Peel regions run on the step's own engine: a fused, peeled plan
+    /// on the simd tape streams exactly the interpreter's accesses to
+    /// every simulated processor, and a counting sink sees every load
+    /// and store the counters charge.
+    #[test]
+    fn simd_peeled_plan_streams_match_interp() {
+        use crate::sink::{CountingSink, RecordingSink};
+        let seq = jacobi(40);
+        let prog = Program::new(&seq, 2).unwrap();
+        let cfg = RunConfig::fused([2, 2])
+            .strip(16)
+            .steps(2)
+            .backend(Backend::Simd);
+        let mut base = Memory::new(&seq, LayoutStrategy::Contiguous);
+        base.init_deterministic(&seq, 7);
+        let tape = ProgramTape::lower(&seq, &base.layout);
+        let run = |engine: Engine<'_>| {
+            let mut mem = base.clone();
+            let mut rec = vec![RecordingSink::default(); 4];
+            let (counters, _) =
+                run_sim_steps(&prog, &mut mem, &cfg, engine, &mut rec, &None).unwrap();
+            let mut mem2 = base.clone();
+            let mut counts = vec![CountingSink::default(); 4];
+            run_sim_steps(&prog, &mut mem2, &cfg, engine, &mut counts, &None).unwrap();
+            assert_eq!(mem.data, mem2.data);
+            (counters, rec, counts, mem.data)
+        };
+        let (ci, ri, ni, mi) = run(Engine::Interp);
+        let (cs, rs, ns, ms) = run(Engine::Simd(&tape));
+        assert!(
+            ci.iter().map(|c| c.peeled_iters).sum::<u64>() > 0,
+            "plan peels"
+        );
+        assert!(
+            cs.iter().map(|c| c.vec_iters).sum::<u64>() > 0,
+            "lanes taken"
+        );
+        assert_eq!(mi, ms);
+        assert_eq!(ci, cs);
+        assert_eq!(ni, ns);
+        for p in 0..4 {
+            assert_eq!(ri[p].trace, rs[p].trace, "proc {p}");
+            assert_eq!(ns[p].loads, cs[p].loads, "proc {p}");
+            assert_eq!(ns[p].stores, cs[p].stores, "proc {p}");
+            assert!(cs[p].vec_iters <= cs[p].iters, "proc {p}");
+        }
     }
 
     #[test]

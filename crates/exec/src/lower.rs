@@ -385,6 +385,79 @@ mod tests {
         }
     }
 
+    /// The lane-blocked runner's access stream: exact addresses, kinds
+    /// and order versus the interpreter. Inner lower bounds are not
+    /// multiples of `LANES` and trips are not either, so regions have a
+    /// scalar head, full lane blocks and a scalar tail; the shifted
+    /// sub-regions cover every head length, including trips shorter
+    /// than one block.
+    #[test]
+    fn simd_trace_matches_interpreter_exactly() {
+        use crate::memory::MemView;
+        use crate::tape::LANES;
+        let n = 40usize;
+        let mut b = SeqBuilder::new("lanes");
+        let a = b.array("a", [n, n]);
+        let c = b.array("c", [n, n]);
+        let d = b.array("d", [n, n]);
+        // Inner 3..=35: head 3..=7, blocks 8..=31, tail 32..=35.
+        b.nest("L1", [(1, 4), (3, 35)], |x| {
+            let r = x.ld(a, [0, 1]) * Expr::Const(0.5) + x.ld(a, [-1, 0]);
+            x.assign(c, [0, 0], r);
+            let s = x.ld(c, [0, 0]) - Expr::Unary(UnaryOp::Abs, Box::new(x.ld(a, [1, -1])));
+            x.assign(d, [0, 0], s);
+        });
+        b.nest("L2", [(2, 6), (5, 30)], |x| {
+            let r = x.ld(d, [0, 0]) + x.ld(c, [-1, 1]) * x.ld(d, [1, 0]);
+            x.assign(a, [0, 0], r);
+        });
+        let seq = b.finish();
+        for layout in [LayoutStrategy::Contiguous, LayoutStrategy::InnerPad(3)] {
+            let mut m1 = Memory::new(&seq, layout);
+            m1.init_deterministic(&seq, 11);
+            let mut m2 = m1.clone();
+            let tape = ProgramTape::lower(&seq, &m2.layout);
+            assert_eq!(tape.lane_safe_nests(), 2, "{layout:?}");
+            let engines = [Engine::Interp, Engine::Simd(&tape)];
+            let mut s1 = RecordingSink::default();
+            let c1 = engines[0].run_original(&seq, &mut m1, &mut s1);
+            let mut s2 = RecordingSink::default();
+            let c2 = engines[1].run_original(&seq, &mut m2, &mut s2);
+            assert!(c2.vec_iters > 0, "{layout:?}");
+            assert_eq!(s1.trace, s2.trace, "{layout:?}");
+            assert_eq!(m1.data, m2.data, "{layout:?}");
+            assert_eq!(c1, c2, "{layout:?}");
+            // Shifted sub-regions, as fused and peeled phases run them.
+            for lo in 1..=LANES as i64 + 1 {
+                for trip in [3, 19] {
+                    let region = sp_ir::IterSpace::new(vec![(2, 3), (lo, lo + trip - 1)]);
+                    let mut traces = Vec::new();
+                    for (engine, mem) in engines.iter().zip([&mut m1, &mut m2]) {
+                        let view = MemView::new(mem);
+                        let mut sink = RecordingSink::default();
+                        let mut counters = crate::interp::ExecCounters::default();
+                        for k in 0..seq.nests.len() {
+                            // SAFETY: single-threaded execution.
+                            unsafe {
+                                engine.exec_region(
+                                    &seq,
+                                    &view,
+                                    k,
+                                    &region,
+                                    &mut sink,
+                                    &mut counters,
+                                )
+                            };
+                        }
+                        traces.push(sink.trace);
+                    }
+                    assert_eq!(traces[0], traces[1], "{layout:?} lo {lo} trip {trip}");
+                    assert_eq!(m1.data, m2.data, "{layout:?} lo {lo} trip {trip}");
+                }
+            }
+        }
+    }
+
     /// The lane-safety classifier: stencils over distinct arrays and
     /// outer-carried recurrences vectorize; inner serial recurrences and
     /// contracted arrays fall back to the scalar runner.

@@ -63,19 +63,39 @@ impl Memory {
     /// smooth pseudo-random values (a tiny splitmix-style hash of the
     /// element coordinates and `seed`), so runs are reproducible across
     /// layouts and schedules.
+    ///
+    /// The hash folds coordinates outermost first, so each row's outer
+    /// coordinates are hashed once and the contiguous inner run is
+    /// filled from that prefix. Rows are written in row-major order, as
+    /// an element-wise fill would, so contracted arrays (whose planes
+    /// alias) end up with the same surviving values.
     pub fn init_deterministic(&mut self, seq: &LoopSequence, seed: u64) {
-        for (i, _) in seq.arrays.iter().enumerate() {
+        for (i, decl) in seq.arrays.iter().enumerate() {
             let id = ArrayId(i as u32);
             let array_salt = seed.wrapping_add((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            self.fill_with(seq, id, |p| {
-                let mut h = array_salt;
-                for &c in p {
-                    h ^= (c as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-                    h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                    h ^= h >> 27;
+            if self.layout.placements[i].strides.last() != Some(&1) {
+                self.fill_with(seq, id, |p| {
+                    init_value(p.iter().fold(array_salt, |h, &c| init_mix(h, c)))
+                });
+                continue;
+            }
+            let (outer, inner) = decl.dims.split_at(decl.dims.len() - 1);
+            let inner = inner[0];
+            let rows = sp_ir::IterSpace::new(
+                outer
+                    .iter()
+                    .map(|&d| (0i64, d as i64 - 1))
+                    .collect::<Vec<_>>(),
+            );
+            let (layout, data) = (&self.layout, &mut self.data);
+            let mut idx = vec![0i64; decl.dims.len()];
+            rows.for_each(|o| {
+                idx[..o.len()].copy_from_slice(o);
+                let base = layout.slot(id, &idx);
+                let h = o.iter().fold(array_salt, |h, &c| init_mix(h, c));
+                for (k, v) in data[base..base + inner].iter_mut().enumerate() {
+                    *v = init_value(init_mix(h, k as i64));
                 }
-                // Map to (0.5, 1.5) to keep divisions well-conditioned.
-                0.5 + (h >> 11) as f64 / (1u64 << 53) as f64
             });
         }
     }
@@ -101,6 +121,20 @@ impl Memory {
             .map(|i| self.snapshot(seq, ArrayId(i as u32)))
             .collect()
     }
+}
+
+/// One coordinate step of [`Memory::init_deterministic`]'s hash.
+#[inline]
+fn init_mix(mut h: u64, c: i64) -> u64 {
+    h ^= (c as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h ^ (h >> 27)
+}
+
+/// Maps a finished hash to (0.5, 1.5), keeping divisions well-conditioned.
+#[inline]
+fn init_value(h: u64) -> f64 {
+    0.5 + (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// An unsafe shared view of a [`Memory`] for the static-blocked parallel
@@ -244,6 +278,57 @@ mod tests {
             .snapshot(&s, ArrayId(0))
             .iter()
             .all(|&v| v > 0.5 && v < 1.5));
+    }
+
+    #[test]
+    fn row_fill_matches_element_fill() {
+        // The reference is the element-wise definition: hash every
+        // coordinate, write through the layout in row-major order.
+        fn element_fill(m: &mut Memory, s: &LoopSequence, seed: u64) {
+            for i in 0..s.arrays.len() {
+                let salt = seed.wrapping_add((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                m.fill_with(s, ArrayId(i as u32), |p| {
+                    init_value(p.iter().fold(salt, |h, &c| init_mix(h, c)))
+                });
+            }
+        }
+        let mut b = SeqBuilder::new("m");
+        let a = b.array("a", [5, 7]);
+        let c = b.array("c", [3, 4, 9]);
+        let d = b.array("d", [11]);
+        b.nest("L1", [(0, 4), (0, 6)], |x| {
+            let r = x.ld(a, [0, 0]);
+            x.assign(a, [0, 0], r);
+        });
+        b.nest("L2", [(0, 2), (0, 3), (0, 8)], |x| {
+            let r = x.ld(c, [0, 0, 0]);
+            x.assign(c, [0, 0, 0], r);
+        });
+        b.nest("L3", [(0, 10)], |x| {
+            let r = x.ld(d, [0]);
+            x.assign(d, [0], r);
+        });
+        let s = b.finish();
+        let strategies = [
+            LayoutStrategy::Contiguous,
+            LayoutStrategy::InnerPad(3),
+            LayoutStrategy::CachePartition(sp_cache::CacheConfig::new(1024, 32, 1)),
+        ];
+        for strategy in strategies {
+            let mut fast = Memory::with_base(&s, strategy, 8);
+            let mut slow = Memory::with_base(&s, strategy, 8);
+            fast.init_deterministic(&s, 9);
+            element_fill(&mut slow, &s, 9);
+            assert_eq!(fast.data, slow.data, "{strategy:?}");
+        }
+        // Contracted array: logical planes alias physical plane k % 2, so
+        // the surviving values depend on the write order.
+        let mut fast = Memory::new(&s, LayoutStrategy::Contiguous);
+        fast.layout.contract(a, 2);
+        let mut slow = fast.clone();
+        fast.init_deterministic(&s, 4);
+        element_fill(&mut slow, &s, 4);
+        assert_eq!(fast.data, slow.data);
     }
 
     #[test]

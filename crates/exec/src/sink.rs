@@ -2,22 +2,33 @@
 //!
 //! The interpreter is generic over an [`AccessSink`]; plugging in a cache
 //! simulator turns an execution into a trace-driven miss measurement,
-//! while [`NullSink`] compiles the reporting away entirely for plain
-//! correctness runs and wall-clock benchmarks.
+//! while [`NullSink`] discards it for plain correctness runs and
+//! wall-clock benchmarks.
 
 use sp_cache::{Cache, CacheHierarchy, CacheStats, ClassifyingCache, InfiniteCache};
 
 /// Consumer of the interpreter's memory-access stream.
 pub trait AccessSink {
+    /// Whether this sink observes the stream at all. Runners may skip
+    /// work whose only purpose is to report accesses (the lane-blocked
+    /// runner's scalar-order replay) when this is `false`, so a sink
+    /// that sets it must ignore every [`AccessSink::access`] call. Only
+    /// [`NullSink`] does; every sink with state keeps the default `true`
+    /// and sees the exact scalar-order stream.
+    const OBSERVES: bool = true;
+
     /// Called once per scalar access with its byte address.
     fn access(&mut self, addr: u64, is_write: bool);
 }
 
-/// Discards accesses (zero overhead).
+/// Discards accesses; runners skip access-only work for it (see
+/// [`AccessSink::OBSERVES`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NullSink;
 
 impl AccessSink for NullSink {
+    const OBSERVES: bool = false;
+
     #[inline(always)]
     fn access(&mut self, _addr: u64, _is_write: bool) {}
 }
@@ -166,6 +177,23 @@ mod tests {
         s.access(0, true);
         assert_eq!(s.stats().misses, 1);
         assert_eq!(s.stats().accesses, 2);
+    }
+
+    #[test]
+    fn only_the_null_sink_is_unobserved() {
+        // The lane-blocked runner drops its access replay for sinks that
+        // do not observe; a stateful sink flagged `false` would silently
+        // lose accesses.
+        fn observes<S: AccessSink>() -> bool {
+            S::OBSERVES
+        }
+        assert!(!observes::<NullSink>());
+        assert!(observes::<CountingSink>());
+        assert!(observes::<CacheSink>());
+        assert!(observes::<ClassifySink>());
+        assert!(observes::<InfiniteSink>());
+        assert!(observes::<HierarchySink>());
+        assert!(observes::<RecordingSink>());
     }
 
     #[test]

@@ -279,17 +279,6 @@ impl Engine<'_> {
         }
     }
 
-    /// The engine boundary (peel) regions run under: lane-blocking pays
-    /// off only in the dense fused interior, so `Simd` hands its narrow
-    /// peel regions back to the interpreter — legal because every
-    /// backend is observationally identical.
-    pub fn boundary(&self) -> Self {
-        match self {
-            Engine::Simd(_) => Engine::Interp,
-            e => *e,
-        }
-    }
-
     /// Serial reference execution with this backend: every nest in
     /// program order over its full space (the backend-parameterized
     /// [`crate::interp::run_original`]).
@@ -454,8 +443,11 @@ pub unsafe fn exec_region_tape<S: AccessSink>(
 /// Access-stream parity: vector blocks replay their sink accesses in
 /// exact scalar order (iteration → statement → RHS loads → store)
 /// separately from the vectorized compute, so cache simulations observe
-/// the same address sequence as the scalar backends; under
-/// [`crate::sink::NullSink`] the replay is dead code and vanishes.
+/// the same address sequence as the scalar backends. The replay runs
+/// only for sinks that observe the stream ([`AccessSink::OBSERVES`]):
+/// the optimizer does not remove the loop nest on its own even when the
+/// sink's `access` is empty, and under [`crate::sink::NullSink`] it
+/// would cost more than the vectorized compute.
 ///
 /// # Safety
 /// As [`exec_region_tape`]: the caller upholds [`MemView`]'s contract,
@@ -663,24 +655,27 @@ unsafe fn vector_block<S: AccessSink>(
     vstack: &mut [[f64; LANES]],
     counters: &mut ExecCounters,
 ) {
-    let eb = nest.elem_bytes;
     // Replay the block's access stream in exact scalar order (iteration
-    // → statement → RHS loads → store). The sink is this loop's only
-    // observer: under NullSink the address arithmetic is dead and the
-    // replay compiles away; stateful sinks (cache simulators) observe
-    // the same address sequence as the scalar backends.
-    for k in 0..LANES as i64 {
-        for st in &nest.stmts {
-            for op in &st.ops {
-                if let MicroOp::Load(j) = *op {
-                    let pat = &nest.pats[j as usize];
-                    let var = cur[j as usize] + off + k;
-                    sink.access((pat.addr_base + var * eb) as u64, false);
+    // → statement → RHS loads → store), so stateful sinks (cache
+    // simulators) observe the same address sequence as the scalar
+    // backends. The sink is the replay's only consumer; it is skipped
+    // outright for sinks that do not observe (the optimizer keeps the
+    // loop nest even when `access` is empty).
+    if S::OBSERVES {
+        let eb = nest.elem_bytes;
+        for k in 0..LANES as i64 {
+            for st in &nest.stmts {
+                for op in &st.ops {
+                    if let MicroOp::Load(j) = *op {
+                        let pat = &nest.pats[j as usize];
+                        let var = cur[j as usize] + off + k;
+                        sink.access((pat.addr_base + var * eb) as u64, false);
+                    }
                 }
+                let pat = &nest.pats[st.store as usize];
+                let var = cur[st.store as usize] + off + k;
+                sink.access((pat.addr_base + var * eb) as u64, true);
             }
-            let pat = &nest.pats[st.store as usize];
-            let var = cur[st.store as usize] + off + k;
-            sink.access((pat.addr_base + var * eb) as u64, true);
         }
     }
     for st in &nest.stmts {
